@@ -12,6 +12,7 @@ Run with::
 
 from __future__ import annotations
 
+import statistics
 import time
 
 from repro.netlist import DESIGN_PRESETS, generate_netlist
@@ -22,19 +23,33 @@ from repro.timing.sta import _run_sta_impl, run_sta
 
 from benchmarks.conftest import emit_bench
 
-REPEATS = 7
+REPEATS = 31
 CALLS = 20
 
 
-def _timed(fn, *args) -> float:
-    """Best-of-REPEATS total seconds for CALLS invocations."""
-    best = float("inf")
-    for _ in range(REPEATS):
-        t0 = time.perf_counter()
-        for _ in range(CALLS):
-            fn(*args)
-        best = min(best, time.perf_counter() - t0)
-    return best
+def _paired_ratio(base, instrumented) -> tuple:
+    """``(ratio, base_s, instrumented_s)`` of two zero-argument callables.
+
+    REPEATS rounds each time CALLS invocations of both, back to back,
+    alternating which goes first.  ``ratio`` is the median of the
+    per-round ``instrumented / base`` ratios: a shared host's speed drifts
+    by tens of percent between rounds, and pairing cancels that drift
+    where a ratio of two separately taken minima does not.  The seconds
+    are each callable's best round, for the report.
+    """
+    ratios, base_s, instr_s = [], [], []
+    for r in range(REPEATS):
+        times = {}
+        for fn in ((base, instrumented) if r % 2 == 0
+                   else (instrumented, base)):
+            t0 = time.perf_counter()
+            for _ in range(CALLS):
+                fn()
+            times[fn] = time.perf_counter() - t0
+        base_s.append(times[base])
+        instr_s.append(times[instrumented])
+        ratios.append(times[instrumented] / times[base])
+    return statistics.median(ratios), min(base_s), min(instr_s)
 
 
 def test_disabled_recording_overhead_under_5_percent():
@@ -46,16 +61,23 @@ def test_disabled_recording_overhead_under_5_percent():
     graph = build_timing_graph(nl)
     wires = PreRouteEstimator(nl, pl)
 
+    # The guard measures the DISABLED path, whatever the harness set up
+    # (benchmarks/conftest.py records spans for the whole session).
     tracer = get_tracer()
-    assert not tracer.enabled, "benchmark measures the DISABLED path"
+    was_enabled = tracer.enabled
+    tracer.disable()
+    try:
+        # Warm both paths (NLDM cache, numpy allocations).
+        run_sta(graph, wires, 500.0)
+        _run_sta_impl(graph, wires, 500.0)
 
-    # Warm both paths (NLDM cache, numpy allocations).
-    run_sta(graph, wires, 500.0)
-    _run_sta_impl(graph, wires, 500.0)
-
-    base = _timed(_run_sta_impl, graph, wires, 500.0)
-    instrumented = _timed(run_sta, graph, wires, 500.0)
-    overhead = instrumented / base - 1.0
+        ratio, base, instrumented = _paired_ratio(
+            lambda: _run_sta_impl(graph, wires, 500.0),
+            lambda: run_sta(graph, wires, 500.0))
+    finally:
+        if was_enabled:
+            tracer.enable()
+    overhead = ratio - 1.0
     emit_bench("obs_overhead", {
         "overhead_pct": overhead * 100,
         "baseline_ms_per_call": base / CALLS * 1e3,

@@ -22,8 +22,6 @@ from __future__ import annotations
 
 from typing import Optional, Set
 
-import numpy as np
-
 from repro.netlist import Netlist
 from repro.obs import get_metrics, get_tracer
 from repro.opt.config import OptimizerConfig
@@ -107,8 +105,8 @@ class TimingOptimizer:
 
 
     def _free_space_at(self, x: float, y: float) -> float:
-        i = int(np.clip(x / self._bin_w, 0, self._free.shape[0] - 1))
-        j = int(np.clip(y / self._bin_h, 0, self._free.shape[1] - 1))
+        i = int(min(max(x / self._bin_w, 0), self._free.shape[0] - 1))
+        j = int(min(max(y / self._bin_h, 0), self._free.shape[1] - 1))
         return float(self._free[i, j])
 
     def _gate(self, x: float, y: float) -> bool:

@@ -7,7 +7,8 @@ location.  Runs in-place on a :class:`~repro.placement.placer.Placement`.
 
 from __future__ import annotations
 
-from typing import List
+from bisect import bisect_left
+from typing import Dict, List
 
 import numpy as np
 
@@ -56,9 +57,9 @@ class RowGrid:
         grid = cls(placement.die)
         for cid, (x, y) in placement.cell_xy.items():
             width = cell_site_width(netlist, cid)
-            row = int(np.clip(y / ROW_HEIGHT, 0, grid.n_rows - 1))
-            start = int(np.clip(round(x / SITE_WIDTH - width / 2.0), 0,
-                                grid.n_sites - width))
+            row = int(min(max(y / ROW_HEIGHT, 0), grid.n_rows - 1))
+            start = int(min(max(round(x / SITE_WIDTH - width / 2.0), 0),
+                            grid.n_sites - width))
             # Tolerate overlap with blockages rather than fail: the grid is
             # advisory for incremental insertion.
             grid.occupied[row, start:start + width] = True
@@ -75,7 +76,7 @@ class RowGrid:
         free = np.where(window_sum == 0)[0]
         if len(free) == 0:
             return -1
-        target = np.clip(col - width // 2, 0, len(occ) - width)
+        target = min(max(col - width // 2, 0), len(occ) - width)
         return int(free[np.argmin(np.abs(free - target))])
 
     def claim(self, row: int, start: int, width: int) -> None:
@@ -84,14 +85,53 @@ class RowGrid:
         self.occupied[row, start:start + width] = True
 
 
+class _IndexedRowGrid(RowGrid):
+    """:func:`legalize`'s private grid, with each row's free starts cached.
+
+    ``_free[row][width]`` is the sorted list of starts of free runs of
+    *width* in *row*.  Only :func:`legalize` writes to this grid, and only
+    through :meth:`claim`, which drops the claimed row's entries, so the
+    cache stays exact.  Grids the optimizer shares are also written
+    directly (:func:`release_cell_sites`) and stay uncached.
+    """
+
+    def __init__(self, die: Die) -> None:
+        super().__init__(die)
+        self._free: Dict[int, Dict[int, List[int]]] = {}
+
+    def free_run_near(self, row: int, col: int, width: int) -> int:
+        n_sites = self.n_sites
+        if width > n_sites:
+            return -1
+        by_width = self._free.setdefault(row, {})
+        free = by_width.get(width)
+        if free is None:
+            csum = np.concatenate([[0], np.cumsum(self.occupied[row])])
+            free = np.flatnonzero(csum[width:] - csum[:-width] == 0).tolist()
+            by_width[width] = free
+        if not free:
+            return -1
+        target = min(max(col - width // 2, 0), n_sites - width)
+        # Nearest start to target; on a tie the left one, as argmin picks.
+        k = bisect_left(free, target)
+        if k == len(free) or (k > 0 and
+                              target - free[k - 1] <= free[k] - target):
+            return free[k - 1]
+        return free[k]
+
+    def claim(self, row: int, start: int, width: int) -> None:
+        super().claim(row, start, width)
+        self._free.pop(row, None)
+
+
 def cell_span(netlist: Netlist, placement: "Placement", grid: RowGrid,
               cid: int) -> tuple:
     """(row, start, width) of a placed cell on the grid."""
     x, y = placement.cell_xy[cid]
     width = cell_site_width(netlist, cid)
-    row = int(np.clip(y / ROW_HEIGHT, 0, grid.n_rows - 1))
-    start = int(np.clip(round(x / SITE_WIDTH - width / 2.0), 0,
-                        grid.n_sites - width))
+    row = int(min(max(y / ROW_HEIGHT, 0), grid.n_rows - 1))
+    start = int(min(max(round(x / SITE_WIDTH - width / 2.0), 0),
+                    grid.n_sites - width))
     return row, start, width
 
 
@@ -121,7 +161,7 @@ def cell_site_width(netlist: Netlist, cid: int) -> int:
 def legalize(netlist: Netlist, placement: Placement) -> float:
     """Legalize all cells; returns the mean displacement in µm."""
     die = placement.die
-    grid = RowGrid(die)
+    grid = _IndexedRowGrid(die)
     # Large cells first: they are hardest to fit.
     order: List[int] = sorted(
         placement.cell_xy,
@@ -131,8 +171,8 @@ def legalize(netlist: Netlist, placement: Placement) -> float:
     for cid in order:
         x, y = placement.cell_xy[cid]
         width = cell_site_width(netlist, cid)
-        want_row = int(np.clip(y / ROW_HEIGHT, 0, grid.n_rows - 1))
-        want_col = int(np.clip(x / SITE_WIDTH, 0, grid.n_sites - 1))
+        want_row = int(min(max(y / ROW_HEIGHT, 0), grid.n_rows - 1))
+        want_col = int(min(max(x / SITE_WIDTH, 0), grid.n_sites - 1))
         best = None  # (cost, row, start)
         for dr in range(grid.n_rows):
             candidates = {want_row - dr, want_row + dr}
@@ -175,8 +215,8 @@ def find_site_near(netlist: Netlist, placement: Placement, grid: RowGrid,
     defeat the optimization, so the caller rejects the move instead.
     """
     width = cell_site_width(netlist, cid)
-    want_row = int(np.clip(y / ROW_HEIGHT, 0, grid.n_rows - 1))
-    want_col = int(np.clip(x / SITE_WIDTH, 0, grid.n_sites - 1))
+    want_row = int(min(max(y / ROW_HEIGHT, 0), grid.n_rows - 1))
+    want_col = int(min(max(x / SITE_WIDTH, 0), grid.n_sites - 1))
     best = None  # (cost, row, start)
     for dr in range(grid.n_rows):
         if best is not None and best[0] <= (dr - 1) * ROW_HEIGHT:

@@ -75,6 +75,22 @@ def error_wire(code: str, message: str) -> Dict[str, Any]:
     return {"error": {"code": code, "message": message}}
 
 
+def content_length(value: Optional[str]) -> int:
+    """The body size a ``Content-Length`` header declares (absent: 0).
+
+    Anything but a plain decimal byte count — a sign, letters, a
+    fraction — raises a 400 :class:`ApiError`.  Such a request's body
+    has no known end, so transports answer it and close the connection.
+    """
+    text = (value or "").strip()
+    if not text:
+        return 0
+    if not (text.isascii() and text.isdigit()):
+        raise ApiError(400, "bad_request",
+                       f"invalid Content-Length: {text[:32]!r}")
+    return int(text)
+
+
 def advertised_version(corners: Optional[Sequence[str]]) -> str:
     """The version ``/health`` reports for a server serving *corners*."""
     if corners is not None and len(corners) > 1:
@@ -347,6 +363,7 @@ __all__ = [
     "WhatifRequest",
     "WhatifResponse",
     "advertised_version",
+    "content_length",
     "error_wire",
     "negotiate_version",
     "worst_corner_wire",

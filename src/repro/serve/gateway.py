@@ -374,7 +374,18 @@ class TimingGateway:
             if ":" in line:
                 k, v = line.split(":", 1)
                 headers[k.strip().lower()] = v.strip()
-        length = int(headers.get("content-length", 0) or 0)
+        try:
+            length = api.content_length(headers.get("content-length"))
+        except ApiError as exc:
+            # The body has no known end, so the stream cannot be
+            # re-framed: answer, then close the connection.
+            client.rbuf = b""
+            client.busy = True
+            self._interest(client)
+            path = target.split("?", 1)[0]
+            self._open_exchange(client, False, None, f"{method} {path}",
+                                "-").respond(exc.status, exc.to_wire())
+            return
         if length > _MAX_BODY_BYTES:
             self._drop(client)
             return

@@ -46,6 +46,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import TYPE_CHECKING, Any, Dict, Optional
 
 from repro.obs import get_metrics, get_tracer
+from repro.serve.api import content_length
 from repro.serve.dispatch import API_VERSION, ApiError, RequestDispatcher
 from repro.serve.session import DesignSession
 from repro.utils import get_logger
@@ -192,7 +193,13 @@ class _Handler(BaseHTTPRequestHandler):
 
     def do_POST(self) -> None:  # noqa: N802 (stdlib API)
         try:
-            length = int(self.headers.get("Content-Length", 0))
+            length = content_length(self.headers.get("Content-Length"))
+        except ApiError as exc:
+            # The body has no known end: answer, then close.
+            self.close_connection = True
+            self._send(exc.status, exc.to_wire())
+            return
+        try:
             raw = self.rfile.read(length) if length else b"{}"
             body = json.loads(raw.decode("utf-8")) if raw.strip() else {}
             if not isinstance(body, dict):
@@ -234,5 +241,7 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(data)))
+        if self.close_connection:
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(data)
