@@ -15,6 +15,11 @@ It has two layers:
   name is discarded — a later run, or a crashed-and-restarted build,
   resumes from the deepest stage that survived.
 
+Stage keys hash configuration, not code, so each file also records the
+store :data:`LAYOUT` it was written under.  A file from another layout
+(e.g. one holding an ``STAResult`` of an older shape) is a warn-and-
+rebuild miss, never an object that fails later on a missing attribute.
+
 The default single-scenario flow (`run_flow` with no store) never touches
 this module, so the pre-refactor path stays free of new I/O.
 """
@@ -33,7 +38,13 @@ from repro.utils import (
 
 logger = get_logger("flow.store")
 
-__all__ = ["StageStore"]
+__all__ = ["LAYOUT", "StageStore"]
+
+#: On-disk layout of stage files: ``(LAYOUT, artifact)``.  Bump it when a
+#: stored artifact, or anything it holds (``STAResult``, ``TimingGraph``,
+#: ``Netlist``, ...), changes shape.  Files written before layouts were
+#: recorded hold the bare artifact.
+LAYOUT = 2
 
 
 class StageStore:
@@ -74,9 +85,10 @@ class StageStore:
     def get(self, key: str) -> Optional[Any]:
         """The artifact stored under *key*, or ``None`` (a miss).
 
-        Disk reads validate that the unpickled artifact carries the key
-        it was filed under; a mismatch (e.g. a file copied between
-        stores, or a partial write that still unpickled) is treated as
+        Disk reads validate that the unpickled file has the current
+        :data:`LAYOUT` and that its artifact carries the key it was filed
+        under; a mismatch (a file from older code, a file copied between
+        stores, a partial write that still unpickled) is treated as
         corruption: warn, unlink, miss.
         """
         art = self._memory.get(key)
@@ -85,12 +97,13 @@ class StageStore:
             return art
         p = self.path(key)
         if p is not None:
-            art = load_pickle_or_none(p, logger)
-            if art is not None:
-                if getattr(art, "key", None) != key:
+            stored = load_pickle_or_none(p, logger)
+            if stored is not None:
+                art = _unwrap(stored, key)
+                if art is None:
                     logger.warning(
-                        "discarding stage artifact %s: recorded key %r "
-                        "does not match", p, getattr(art, "key", None))
+                        "discarding stage artifact %s: not a layout-%d "
+                        "artifact for key %r", p, LAYOUT, key)
                     try:
                         p.unlink()
                     except OSError:
@@ -110,8 +123,18 @@ class StageStore:
         self._memory[key] = artifact
         p = self.path(key)
         if p is not None:
-            atomic_pickle_dump(artifact, p)
+            atomic_pickle_dump((LAYOUT, artifact), p)
 
     def stats(self) -> Dict[str, int]:
         return {"hits": self.hits, "disk_hits": self.disk_hits,
                 "misses": self.misses, "entries": len(self._memory)}
+
+
+def _unwrap(stored: Any, key: str) -> Optional[Any]:
+    """The artifact in a stage file, or ``None`` for another layout or a
+    recorded key that does not match *key*."""
+    if not (isinstance(stored, tuple) and len(stored) == 2
+            and stored[0] == LAYOUT):
+        return None
+    art = stored[1]
+    return art if getattr(art, "key", None) == key else None

@@ -59,13 +59,11 @@ class TimingOptimizer:
     def run(self, clock_period: float) -> OptReport:
         """Run all optimization passes; returns the move/replacement report."""
         report = OptReport(design=self.netlist.name)
+        changed = True
         for pass_no in range(self.config.max_passes):
             with get_tracer().span("opt.pass", design=self.netlist.name,
                                    pass_no=pass_no) as sp:
-                graph = build_timing_graph(self.netlist)
-                sta = run_sta(graph,
-                              PreRouteEstimator(self.netlist, self.placement),
-                              clock_period)
+                sta = self._sta(clock_period)
                 report.wns_trajectory.append(sta.wns)
                 report.tns_trajectory.append(sta.tns)
                 sp.set(wns=sta.wns, tns=sta.tns)
@@ -75,19 +73,23 @@ class TimingOptimizer:
             if not changed:
                 break
         # Area/power recovery runs once, after timing is repaired — as in
-        # commercial flows, where recovery is a closing step.
-        graph = build_timing_graph(self.netlist)
-        sta = run_sta(graph, PreRouteEstimator(self.netlist, self.placement),
-                      clock_period)
-        self._recovery_pass(sta, report)
-        graph = build_timing_graph(self.netlist)
-        sta = run_sta(graph, PreRouteEstimator(self.netlist, self.placement),
-                      clock_period)
+        # commercial flows, where recovery is a closing step.  A timing
+        # result is reused while no move has touched the netlist since.
+        if changed:
+            sta = self._sta(clock_period)
+        if self._recovery_pass(sta, report):
+            sta = self._sta(clock_period)
         report.wns_trajectory.append(sta.wns)
         report.tns_trajectory.append(sta.tns)
         diff_replaced_edges(self._original, self.netlist, report)
         self.netlist.check()
         return report
+
+    def _sta(self, clock_period: float) -> STAResult:
+        """Full pre-route STA of the current netlist and placement."""
+        return run_sta(build_timing_graph(self.netlist),
+                       PreRouteEstimator(self.netlist, self.placement),
+                       clock_period)
 
     # ------------------------------------------------------------------
     # Layout gating
@@ -221,7 +223,7 @@ class TimingOptimizer:
             if pin.direction == "in" and pin.net is not None:
                 net = nl.nets[pin.net]
                 drv_cid = nl.pins[net.driver].cell
-                wire_delay = sta.net_edge_delay.get((net.driver, pin_id), 0.0)
+                wire_delay = _wire_delay(sta, net.driver, pin_id)
                 # Decouple clearly non-critical sinks from the critical
                 # driver (gain: R_drive × moved capacitance on this arc;
                 # cost: one buffer delay on arcs that can afford it).
@@ -354,6 +356,20 @@ class TimingOptimizer:
                     report.count("downsize")
                     changed = True
         return changed
+
+
+def _wire_delay(sta: STAResult, driver: int, sink: int) -> float:
+    """Wire delay (ps) of the net arc ``driver -> sink`` in *sta*.
+
+    0.0 when the timed graph has no such arc: the sink is new, or an
+    earlier structural move in this pass gave it another driver.
+    """
+    g = sta.graph
+    node = g.node_of.get(sink)
+    edge = -1 if node is None else int(g.edge_of_sink[node])
+    if edge < 0 or int(g.pin_ids[g.net_edge_src[edge]]) != driver:
+        return 0.0
+    return float(sta.wire_delay[edge])
 
 
 def optimize(netlist: Netlist, placement: Placement, clock_period: float,

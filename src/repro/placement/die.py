@@ -78,9 +78,13 @@ class Die:
 
     def clamp(self, x: float, y: float,
               margin: float = 0.5) -> Tuple[float, float]:
-        """Clamp a point into the placeable area (inside the outline)."""
-        return (float(np.clip(x, margin, self.width - margin)),
-                float(np.clip(y, margin, self.height - margin)))
+        """Clamp a point into the placeable area (inside the outline).
+
+        Builtin ``min``/``max``: the same result as scalar ``np.clip``
+        for finite and infinite input, at a fraction of the cost.
+        """
+        return (float(min(max(x, margin), self.width - margin)),
+                float(min(max(y, margin), self.height - margin)))
 
 
 def build_die(netlist: Netlist, spec: DesignSpec, base_seed: int = 0) -> Die:

@@ -22,6 +22,7 @@ session).  Cross-design concurrency comes from running many sessions.
 from __future__ import annotations
 
 import inspect
+import math
 import threading
 import time
 from contextlib import contextmanager
@@ -83,13 +84,27 @@ class Edit:
         require(op in EDIT_OPS, f"edit op must be one of {EDIT_OPS}, "
                                 f"got {op!r}")
         require("cell" in d, "edit is missing 'cell'")
-        cell = int(d["cell"])
+        cell = _number(d, "cell", int)
         if op == "resize":
             require(isinstance(d.get("type"), str),
                     "resize edit needs a 'type' (library cell name)")
             return cls(op="resize", cell=cell, type_name=d["type"])
         require("x" in d and "y" in d, "move edit needs 'x' and 'y'")
-        return cls(op="move", cell=cell, x=float(d["x"]), y=float(d["y"]))
+        return cls(op="move", cell=cell, x=_number(d, "x", float),
+                   y=_number(d, "y", float))
+
+
+def _number(d: Dict[str, Any], key: str, kind: Callable) -> Any:
+    """``kind(d[key])`` for a finite number that *kind* represents
+    exactly; ``ValueError`` otherwise (NaN and infinities parse as
+    floats, JSON included, and ``int(3.7)`` would name another cell)."""
+    try:
+        value = kind(d[key])
+        ok = math.isfinite(value) and value == float(d[key])
+    except (TypeError, ValueError, OverflowError):
+        ok = False
+    require(ok, f"edit {key!r} must be a finite number, got {d[key]!r}")
+    return value
 
 
 class DesignSession:
@@ -521,13 +536,34 @@ class DesignSession:
             req[i] = self.clock_period - setup * factor
         return req
 
-    def _apply(self, edits: Sequence[Edit]) -> List[Edit]:
-        """Mutate netlist/placement/STA, mark dirty; return inverses."""
+    def _validate(self, edits: Sequence[Edit]) -> None:
+        """Reject a batch before any of it is applied: a bad edit late in
+        a request must not leave the earlier ones half-applied."""
         nl = self.netlist
-        inverse: List[Edit] = []
         for e in edits:
             require(e.cell in nl.cells,
                     f"{self.name} has no cell {e.cell}")
+            if e.op == "resize":
+                require(e.type_name in nl.library,
+                        f"unknown cell type {e.type_name!r}")
+                old = nl.cell_type(e.cell)
+                new = nl.library.cell(e.type_name)
+                require(old.n_inputs == new.n_inputs
+                        and old.is_sequential == new.is_sequential,
+                        f"cannot resize {old.name} to {new.name}: pin "
+                        "count and sequential-ness must match")
+            else:
+                require(e.x is not None and e.y is not None
+                        and math.isfinite(e.x) and math.isfinite(e.y),
+                        f"move of cell {e.cell} needs finite x and y, "
+                        f"got ({e.x!r}, {e.y!r})")
+
+    def _apply(self, edits: Sequence[Edit]) -> List[Edit]:
+        """Mutate netlist/placement/STA, mark dirty; return inverses."""
+        self._validate(edits)
+        nl = self.netlist
+        inverse: List[Edit] = []
+        for e in edits:
             feat = self.featurizer
             if e.op == "resize":
                 old_type = nl.cells[e.cell].type_name

@@ -11,11 +11,12 @@ GNN message-passing schedule and longest-path masking.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
 from repro.netlist import Netlist
+from repro.obs import get_tracer
 from repro.utils import require
 
 # Node kinds.
@@ -46,6 +47,10 @@ class TimingGraph:
     pred_ptr: np.ndarray                # (n+1,)
     pred_idx: np.ndarray                # (sum,) predecessor nodes
     pred_is_cell: np.ndarray            # (sum,) True where the edge is a cell edge
+    # Propagation groups, cached for every STA sweep over this graph:
+    edge_of_sink: np.ndarray            # (n,) net edge into a node, -1 if none
+    net_edges_at: List[np.ndarray]      # per level: net edges into its NET_SINKs
+    cell_edges_at: List[np.ndarray]     # per level: cell edges into its nodes
     # Populated and validated by :func:`build_timing_graph`; ``None`` only
     # on hand-rolled partial graphs (the annotation is honest about it).
     endpoints: Optional[np.ndarray] = None    # endpoint nodes
@@ -62,26 +67,56 @@ class TimingGraph:
     def predecessors(self, node: int) -> np.ndarray:
         return self.pred_idx[self.pred_ptr[node]:self.pred_ptr[node + 1]]
 
+    def nodes(self, pids: Sequence[int]) -> np.ndarray:
+        """Node index of each pin id in *pids* (vectorized ``node_of``)."""
+        return _nodes(self.pin_ids, pids)
+
 
 def build_timing_graph(netlist: Netlist) -> TimingGraph:
-    """Construct the pin-level DAG and its topological levels."""
+    """Construct the pin-level DAG and its topological levels.
+
+    Emits a ``timing.graph`` tracer span, so profiles split graph
+    construction from the STA runs that follow it.
+    """
+    with get_tracer().span("timing.graph", design=netlist.name):
+        return _build(netlist)
+
+
+def _build(netlist: Netlist) -> TimingGraph:
     pin_ids = np.array(sorted(netlist.pins), dtype=np.int64)
-    node_of = {int(p): i for i, p in enumerate(pin_ids)}
+    node_of = dict(zip(pin_ids.tolist(), range(len(pin_ids))))
     n = len(pin_ids)
 
-    net_src, net_dst = [], []
-    for drv, snk in netlist.net_edges():
-        net_src.append(node_of[drv])
-        net_dst.append(node_of[snk])
-    cell_src, cell_dst = [], []
-    for ip, op in netlist.cell_edges():
-        cell_src.append(node_of[ip])
-        cell_dst.append(node_of[op])
+    net_src: List[int] = []
+    net_dst: List[int] = []
+    for net in netlist.nets.values():
+        net_src.extend([net.driver] * len(net.sinks))
+        net_dst.extend(net.sinks)
+    # Combinational cells give cell edges; flip-flops give the D-pin
+    # endpoints and Q-pin startpoints (Netlist.endpoint_pins /
+    # startpoint_pins, gathered in the same pass).
+    lib = netlist.library
+    sequential: Dict[str, bool] = {}
+    cell_src: List[int] = []
+    cell_dst: List[int] = []
+    end_pins = [p.pin for p in netlist.primary_outputs()]
+    start_pins = [p.pin for p in netlist.primary_inputs()]
+    for inst in netlist.cells.values():
+        seq = sequential.get(inst.type_name)
+        if seq is None:
+            seq = sequential[inst.type_name] = lib.cell(
+                inst.type_name).is_sequential
+        if seq:
+            end_pins.append(inst.input_pins[0])
+            start_pins.append(inst.output_pin)
+        else:
+            cell_src.extend(inst.input_pins)
+            cell_dst.extend([inst.output_pin] * len(inst.input_pins))
 
-    net_edge_src = np.asarray(net_src, dtype=np.int64)
-    net_edge_dst = np.asarray(net_dst, dtype=np.int64)
-    cell_edge_src = np.asarray(cell_src, dtype=np.int64)
-    cell_edge_dst = np.asarray(cell_dst, dtype=np.int64)
+    net_edge_src = _nodes(pin_ids, net_src)
+    net_edge_dst = _nodes(pin_ids, net_dst)
+    cell_edge_src = _nodes(pin_ids, cell_src)
+    cell_edge_dst = _nodes(pin_ids, cell_dst)
 
     kind = np.full(n, SOURCE, dtype=np.int8)
     kind[net_edge_dst] = NET_SINK
@@ -95,54 +130,51 @@ def build_timing_graph(netlist: Netlist) -> TimingGraph:
         np.ones(len(cell_edge_src), dtype=bool),
     ])
     order = np.argsort(all_dst, kind="stable")
-    sorted_dst = all_dst[order]
     pred_idx = all_src[order]
     pred_is_cell = is_cell[order]
-    pred_ptr = np.zeros(n + 1, dtype=np.int64)
-    np.add.at(pred_ptr, sorted_dst + 1, 1)
-    pred_ptr = np.cumsum(pred_ptr)
+    indeg = np.bincount(all_dst, minlength=n)
+    pred_ptr = np.concatenate(([0], np.cumsum(indeg)))
 
-    # Kahn levelization.
-    indegree = np.zeros(n, dtype=np.int64)
-    np.add.at(indegree, all_dst, 1)
+    # Successor CSR for the levelization sweep.
+    succ_idx = all_dst[np.argsort(all_src, kind="stable")]
+    succ_ptr = np.concatenate(
+        ([0], np.cumsum(np.bincount(all_src, minlength=n))))
+
+    # Kahn levelization, one frontier at a time: gather the frontier's
+    # successors through the CSR, retire their in-degrees in one step,
+    # and the nodes that reach zero form the next level (sorted, as
+    # np.unique returns them).
     level = np.zeros(n, dtype=np.int64)
-    frontier = np.where(indegree == 0)[0]
     levels: List[np.ndarray] = []
-    # Successor CSR for the sweep.
-    sorder = np.argsort(all_src, kind="stable")
-    succ_idx = all_dst[sorder]
-    succ_ptr = np.zeros(n + 1, dtype=np.int64)
-    np.add.at(succ_ptr, all_src[sorder] + 1, 1)
-    succ_ptr = np.cumsum(succ_ptr)
-
-    visited = 0
-    cur = frontier
-    lvl = 0
-    indeg = indegree.copy()
+    cur = np.flatnonzero(indeg == 0)
     while len(cur):
-        levels.append(np.sort(cur))
-        level[cur] = lvl
-        visited += len(cur)
-        nxt: List[int] = []
-        for u in cur:
-            for v in succ_idx[succ_ptr[u]:succ_ptr[u + 1]]:
-                indeg[v] -= 1
-                if indeg[v] == 0:
-                    nxt.append(int(v))
-        cur = np.asarray(nxt, dtype=np.int64)
-        lvl += 1
-    require(visited == n, "netlist timing graph contains a cycle")
+        level[cur] = len(levels)
+        levels.append(cur)
+        starts = succ_ptr[cur]
+        counts = succ_ptr[cur + 1] - starts
+        total = int(counts.sum())
+        if not total:
+            break
+        ends = np.cumsum(counts)
+        gather = np.repeat(starts - ends + counts, counts) + np.arange(total)
+        succ, hits = np.unique(succ_idx[gather], return_counts=True)
+        indeg[succ] -= hits
+        cur = succ[indeg[succ] == 0]
+    require(sum(len(lv) for lv in levels) == n,
+            "netlist timing graph contains a cycle")
 
-    endpoints = np.array(sorted(node_of[p] for p in netlist.endpoint_pins()),
-                         dtype=np.int64)
-    startpoints = np.array(sorted(node_of[p] for p in netlist.startpoint_pins()),
-                           dtype=np.int64)
-    require(len(endpoints) == 0 or
-            (endpoints[0] >= 0 and endpoints[-1] < n),
-            "endpoint nodes out of range")
-    require(len(startpoints) == 0 or
-            (startpoints[0] >= 0 and startpoints[-1] < n),
-            "startpoint nodes out of range")
+    # Per-level propagation groups: the net edge into each NET_SINK node
+    # (ascending sink node) and the cell edges into each level (edge order).
+    edge_of_sink = np.full(n, -1, dtype=np.int64)
+    edge_of_sink[net_edge_dst] = np.arange(len(net_edge_dst))
+    sinks = np.flatnonzero(kind == NET_SINK)
+    net_edges_at = _group_by_level(edge_of_sink[sinks], level[sinks],
+                                   len(levels))
+    cell_edges_at = _group_by_level(np.arange(len(cell_edge_dst)),
+                                    level[cell_edge_dst], len(levels))
+
+    endpoints = _nodes(pin_ids, sorted(end_pins))
+    startpoints = _nodes(pin_ids, sorted(start_pins))
     require(bool(np.all(level[startpoints] == 0)),
             "startpoints must sit at topological level 0")
     return TimingGraph(
@@ -159,6 +191,29 @@ def build_timing_graph(netlist: Netlist) -> TimingGraph:
         pred_ptr=pred_ptr,
         pred_idx=pred_idx,
         pred_is_cell=pred_is_cell,
+        edge_of_sink=edge_of_sink,
+        net_edges_at=net_edges_at,
+        cell_edges_at=cell_edges_at,
         endpoints=endpoints,
         startpoints=startpoints,
     )
+
+
+def _nodes(pin_ids: np.ndarray, pids: Sequence[int]) -> np.ndarray:
+    """Node index of each pin id (``pin_ids`` is sorted)."""
+    pids = np.asarray(pids, dtype=np.int64)
+    idx = np.searchsorted(pin_ids, pids)
+    require(bool(np.all(idx < len(pin_ids)))
+            and bool(np.array_equal(pin_ids[idx], pids)),
+            "timing graph references a pin missing from the netlist")
+    return idx
+
+
+def _group_by_level(items: np.ndarray, item_level: np.ndarray,
+                    n_levels: int) -> List[np.ndarray]:
+    """*items* split by level, keeping their order within each level."""
+    order = np.argsort(item_level, kind="stable")
+    bounds = np.searchsorted(item_level[order],
+                             np.arange(n_levels + 1)).tolist()
+    grouped = items[order]
+    return [grouped[bounds[lv]:bounds[lv + 1]] for lv in range(n_levels)]

@@ -15,27 +15,24 @@ and require :meth:`IncrementalSTA.rebuild`.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Set
-
-import numpy as np
+from typing import Optional, Set
 
 from repro.netlist import Netlist
 from repro.obs import get_metrics, get_tracer
 from repro.placement import Placement
-from repro.timing.graph import NET_SINK, TimingGraph, build_timing_graph
-from repro.timing.nldm import batch_nldm_for
+from repro.timing.graph import TimingGraph, build_timing_graph
 from repro.timing.rc import PreRouteEstimator, WireLengthProvider
-from repro.timing.sta import (
-    PI_INPUT_SLEW,
-    PO_LOAD_FF,
-    SLEW_WIRE_FACTOR,
-    STAResult,
-    _argmax_per_dst,
-)
+from repro.timing.sta import STAResult, TimingKernel
 
 
 class IncrementalSTA:
-    """Keeps an up-to-date :class:`STAResult` across local edits."""
+    """Keeps an up-to-date :class:`STAResult` across local edits.
+
+    Only edit bookkeeping lives here — which static data an edit
+    touches, the dirty set and the level to re-sweep from; the
+    propagation itself is the shared :class:`~repro.timing.sta.
+    TimingKernel` that full STA runs.
+    """
 
     def __init__(self, netlist: Netlist, placement: Placement,
                  clock_period: float,
@@ -49,76 +46,12 @@ class IncrementalSTA:
         self._dirty: Set[int] = set()
         self._build()
 
-    # ------------------------------------------------------------------
-    # Construction / static state
-    # ------------------------------------------------------------------
     def _build(self) -> None:
         self.graph: TimingGraph = build_timing_graph(self.netlist)
-        g = self.graph
-        nl = self.netlist
-        self._nldm = batch_nldm_for(nl.library)
-        n = g.n_nodes
-        self._po_pins = {p.pin for p in nl.primary_outputs()}
-
-        self._pin_cap = np.zeros(n)
-        self._out_type = np.zeros(n, dtype=np.int64)
-        for i in range(n):
-            self._refresh_node_static(i)
-
-        e_dst = g.net_edge_dst
-        self._edge_of_sink = np.full(n, -1, dtype=np.int64)
-        self._edge_of_sink[e_dst] = np.arange(len(e_dst))
-        self._wire_len = np.empty(len(g.net_edge_src))
-        for k in range(len(g.net_edge_src)):
-            self._wire_len[k] = self.wires.length(
-                int(g.pin_ids[g.net_edge_src[k]]),
-                int(g.pin_ids[e_dst[k]]))
-        self._recompute_wire_terms()
-        self._cell_delay = np.zeros(len(g.cell_edge_src))
-        self._arrival = np.full(n, -np.inf)
-        self._slew = np.full(n, PI_INPUT_SLEW)
-        self._best_pred = np.full(n, -1, dtype=np.int64)
-        self._init_sources()
-        self._sweep(start_level=1)
-        self.result = self._package()
-
-    def _refresh_node_static(self, node: int) -> None:
-        nl = self.netlist
-        lib = nl.library
-        pin = nl.pins[int(self.graph.pin_ids[node])]
-        cap = 0.0
-        if pin.cell is not None and pin.direction == "in":
-            cap = lib.cell(nl.cells[pin.cell].type_name).input_cap
-        elif pin.pid in self._po_pins:
-            cap = PO_LOAD_FF
-        self._pin_cap[node] = cap
-        if pin.cell is not None and pin.direction == "out":
-            self._out_type[node] = self._nldm.type_id(
-                nl.cells[pin.cell].type_name)
-
-    def _recompute_wire_terms(self) -> None:
-        g = self.graph
-        w = self.netlist.library.wire
-        self._wire_delay = w.resistance(self._wire_len) * (
-            0.5 * w.capacitance(self._wire_len)
-            + self._pin_cap[g.net_edge_dst])
-        self._load = np.zeros(g.n_nodes)
-        np.add.at(self._load, g.net_edge_src,
-                  self._pin_cap[g.net_edge_dst]
-                  + w.capacitance(self._wire_len))
-
-    def _init_sources(self) -> None:
-        g, nl = self.graph, self.netlist
-        for node in g.startpoints:
-            pin = nl.pins[int(g.pin_ids[node])]
-            if pin.cell is None:
-                self._arrival[node] = 0.0
-            else:
-                ctype = nl.library.cell(nl.cells[pin.cell].type_name)
-                self._arrival[node] = ctype.clk_to_q
-            self._slew[node] = PI_INPUT_SLEW
-        lonely = (g.level == 0) & (self._arrival == -np.inf)
-        self._arrival[lonely] = 0.0
+        self._kernel = TimingKernel(self.graph, self.wires,
+                                    self.netlist.library)
+        self._kernel.forward(start_level=1)
+        self.result = self._kernel.package(self.clock_period, copy=True)
 
     # ------------------------------------------------------------------
     # Edit notifications
@@ -134,12 +67,9 @@ class IncrementalSTA:
         inst = nl.cells[cid]
         nl.change_cell_type(cid, new_type_name)
         node_of = self.graph.node_of
-        out_node = node_of[inst.output_pin]
-        self._refresh_node_static(out_node)
-        self._dirty.add(out_node)
+        self._kernel.set_cell_types([inst])
+        self._dirty.add(node_of[inst.output_pin])
         for ip in inst.input_pins:
-            in_node = node_of[ip]
-            self._refresh_node_static(in_node)
             net_id = nl.pins[ip].net
             if net_id is None:
                 continue
@@ -153,19 +83,18 @@ class IncrementalSTA:
         nl = self.netlist
         self.placement.set_position(cid, x, y)
         node_of = self.graph.node_of
-        g = self.graph
+        edge_of_sink = self.graph.edge_of_sink
         inst = nl.cells[cid]
         for pid in list(inst.input_pins) + [inst.output_pin]:
             net_id = nl.pins[pid].net
             if net_id is None:
                 continue
             net = nl.nets[net_id]
-            drv_node = node_of[net.driver]
-            self._dirty.add(drv_node)
+            self._dirty.add(node_of[net.driver])
             for sp in net.sinks:
                 sink_node = node_of[sp]
-                edge = self._edge_of_sink[sink_node]
-                self._wire_len[edge] = self.wires.length(net.driver, sp)
+                self._kernel.wire_len[edge_of_sink[sink_node]] = (
+                    self.wires.length(net.driver, sp))
                 self._dirty.add(sink_node)
 
     def rebuild(self) -> STAResult:
@@ -184,98 +113,15 @@ class IncrementalSTA:
         """Re-propagate from the lowest dirty level; returns fresh result."""
         if not self._dirty:
             return self.result
-        start = max(1, int(min(self.graph.level[v] for v in self._dirty)))
+        start = max(1, int(self.graph.level[list(self._dirty)].min()))
         with get_tracer().span("sta.refresh", design=self.netlist.name,
                                start_level=start):
-            self._recompute_wire_terms()
-            self._sweep(start_level=start)
-            self.result = self._package()
+            self._kernel.update_wires()
+            self._kernel.forward(start_level=start)
+            self.result = self._kernel.package(self.clock_period, copy=True)
         self._dirty.clear()
         self.partial_updates += 1
         metrics = get_metrics()
         metrics.counter("sta.incremental.partial").inc()
         metrics.histogram("sta.incremental.start_level").observe(start)
         return self.result
-
-    def _sweep(self, start_level: int) -> None:
-        g = self.graph
-        e_src = g.net_edge_src
-        c_src, c_dst = g.cell_edge_src, g.cell_edge_dst
-        for lvl in range(start_level, g.n_levels):
-            nodes = g.levels[lvl]
-            sinks = nodes[g.kind[nodes] == NET_SINK]
-            if len(sinks):
-                edges = self._edge_of_sink[sinks]
-                src = e_src[edges]
-                self._arrival[sinks] = (self._arrival[src]
-                                        + self._wire_delay[edges])
-                self._slew[sinks] = (self._slew[src] + SLEW_WIRE_FACTOR
-                                     * self._wire_delay[edges])
-                self._best_pred[sinks] = src
-            mask = g.level[c_dst] == lvl
-            if mask.any():
-                src = c_src[mask]
-                dst = c_dst[mask]
-                d, s_out = self._nldm.lookup(self._out_type[dst],
-                                             self._slew[src],
-                                             self._load[dst])
-                self._cell_delay[mask] = d
-                self._arrival[dst] = -np.inf
-                cand = self._arrival[src] + d
-                np.maximum.at(self._arrival, dst, cand)
-                sel = _argmax_per_dst(cand, dst, self._arrival)
-                self._slew[dst[sel]] = s_out[sel]
-                self._best_pred[dst[sel]] = src[sel]
-
-    # ------------------------------------------------------------------
-    def _package(self) -> STAResult:
-        g, nl = self.graph, self.netlist
-        endpoint_arrival: Dict[int, float] = {}
-        endpoint_slack: Dict[int, float] = {}
-        required = np.full(g.n_nodes, np.inf)
-        for node in g.endpoints:
-            pid = int(g.pin_ids[node])
-            pin = nl.pins[pid]
-            setup = 0.0
-            if pin.cell is not None:
-                setup = nl.library.cell(
-                    nl.cells[pin.cell].type_name).setup_time
-            endpoint_arrival[pid] = float(self._arrival[node])
-            endpoint_slack[pid] = float(self.clock_period - setup
-                                        - self._arrival[node])
-            required[node] = self.clock_period - setup
-
-        e_src, e_dst = g.net_edge_src, g.net_edge_dst
-        c_src, c_dst = g.cell_edge_src, g.cell_edge_dst
-        for lvl in range(g.n_levels - 1, 0, -1):
-            nodes = g.levels[lvl]
-            sinks = nodes[g.kind[nodes] == NET_SINK]
-            if len(sinks):
-                edges = self._edge_of_sink[sinks]
-                np.minimum.at(required, e_src[edges],
-                              required[sinks] - self._wire_delay[edges])
-            mask = g.level[c_dst] == lvl
-            if mask.any():
-                np.minimum.at(required, c_src[mask],
-                              required[c_dst[mask]]
-                              - self._cell_delay[mask])
-
-        net_edge_delay = {
-            (int(g.pin_ids[e_src[k]]), int(g.pin_ids[e_dst[k]])):
-                float(self._wire_delay[k]) for k in range(len(e_src))}
-        cell_edge_delay = {
-            (int(g.pin_ids[c_src[k]]), int(g.pin_ids[c_dst[k]])):
-                float(self._cell_delay[k]) for k in range(len(c_src))}
-        return STAResult(
-            graph=g,
-            clock_period=self.clock_period,
-            arrival=self._arrival.copy(),
-            slew=self._slew.copy(),
-            required=required,
-            load=self._load.copy(),
-            best_pred=self._best_pred.copy(),
-            endpoint_arrival=endpoint_arrival,
-            endpoint_slack=endpoint_slack,
-            net_edge_delay=net_edge_delay,
-            cell_edge_delay=cell_edge_delay,
-        )

@@ -148,6 +148,51 @@ def test_key_mismatch_is_discarded(tmp_path):
     assert fresh.misses == 1
 
 
+def _old_shape(sta):
+    """*sta* as the pre-kernel code pickled it: pin-pair edge-delay dicts
+    in the instance dict, no ``wire_delay`` / ``cell_delay`` arrays."""
+    from repro.timing import STAResult
+
+    old = object.__new__(STAResult)
+    fields = ("graph", "clock_period", "arrival", "slew", "required",
+              "load", "best_pred", "endpoint_arrival", "endpoint_slack")
+    old.__dict__.update({f: getattr(sta, f) for f in fields},
+                        net_edge_delay=dict(sta.net_edge_delay),
+                        cell_edge_delay=dict(sta.cell_edge_delay))
+    return old
+
+
+def test_old_shape_artifact_is_a_warn_and_rebuild_miss(tmp_path, caplog):
+    """A store directory written by older code holds bare (unversioned)
+    artifacts whose ``STAResult`` has another shape.  Reading one must
+    warn, drop the file and rebuild — not return an object that fails
+    later for want of its per-edge delay arrays."""
+    spec, cfg = _spec(), FlowConfig(scale=0.25)
+    staged = StagedFlow(spec, cfg)
+    staged.run()
+    constrain = staged.last["constrain"]
+    sta = constrain.pre_route_sta
+    stale = dataclasses.replace(constrain, pre_route_sta=_old_shape(sta))
+    path = tmp_path / f"stage_{constrain.key}.pkl"
+    path.write_bytes(pickle.dumps(stale))     # the old, bare layout
+    # Unpickled as is, it lacks the per-edge arrays the kernel reads.
+    assert pickle.loads(path.read_bytes()).pre_route_sta.wire_delay is None
+
+    store = StageStore(tmp_path)
+    with caplog.at_level("WARNING", logger="repro.flow.store"):
+        flow = run_staged_flow(spec, cfg, store=store)
+    assert "layout" in caplog.text
+    assert store.disk_hits == 0
+    got = flow.pre_route_sta
+    np.testing.assert_array_equal(got.arrival, sta.arrival)
+    np.testing.assert_array_equal(got.wire_delay, sta.wire_delay)
+    assert got.net_edge_delay == sta.net_edge_delay
+    # The rebuilt artifact replaced the stale file and now resumes.
+    again = StageStore(tmp_path)
+    run_staged_flow(spec, cfg, store=again)
+    assert again.misses == 0
+
+
 def test_put_rejects_mismatched_key(tmp_path):
     store = StageStore()
     flow = StagedFlow(_spec(), FlowConfig(scale=0.25), store=store)

@@ -90,3 +90,37 @@ def test_space_gate_blocks_in_full_layout():
     # Saturate the free-space map: every structural move must be gated off.
     opt._free[:, :] = 0.0
     assert not opt._gate(die.width / 2, die.height / 2)
+
+
+def test_wire_delay_is_zero_once_the_arc_driver_changed():
+    """The repair pass reads wire delays from the pass's STA arrays.  An
+    arc whose sink an earlier move in the same pass re-drove (here: a
+    buffer inserted in front of it) or whose sink is new has no delay in
+    that STA and reads 0.0 — exactly what the old pin-pair dict lookup
+    returned on a miss."""
+    from repro.opt.moves import insert_buffer
+    from repro.opt.optimizer import _wire_delay
+    from repro.placement import RowGrid
+
+    spec = DESIGN_PRESETS["xgate"].scaled(0.25)
+    nl = generate_netlist(spec)
+    pl = place(nl, build_die(nl, spec))
+    legalize(nl, pl)
+    sta = run_sta(build_timing_graph(nl), PreRouteEstimator(nl, pl), 500.0)
+    net = max(nl.nets.values(), key=lambda n: len(n.sinks))
+    old_driver, sink = net.driver, net.sinks[0]
+    before = sta.net_edge_delay[(old_driver, sink)]
+    assert _wire_delay(sta, old_driver, sink) == before > 0.0
+
+    buf = insert_buffer(nl, pl, RowGrid.from_placement(nl, pl), net.nid,
+                        [sink])
+    assert buf is not None
+    new_driver = nl.nets[nl.pins[sink].net].driver
+    assert new_driver == nl.cells[buf].output_pin
+    assert _wire_delay(sta, new_driver, sink) == 0.0
+    buf_in = nl.cells[buf].input_pins[0]
+    assert _wire_delay(sta, old_driver, buf_in) == 0.0   # new pin
+    # Every current arc agrees with the old dict rule.
+    for drv, snk in nl.net_edges():
+        assert _wire_delay(sta, drv, snk) == sta.net_edge_delay.get(
+            (drv, snk), 0.0)

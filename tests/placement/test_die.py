@@ -75,3 +75,26 @@ def test_in_macro_and_clamp():
     assert die.in_macro(cx, cy)
     x, y = die.clamp(-5.0, die.height + 10.0)
     assert 0 < x < die.width and 0 < y < die.height
+
+
+@pytest.mark.parametrize("margin", [0.5, 0.0, 3.25])
+def test_clamp_matches_np_clip_for_finite_and_infinite_input(margin):
+    """``Die.clamp`` uses builtin min/max; pin it to the scalar
+    ``np.clip`` it replaced, bit for bit, including ±inf and a die
+    narrower than twice the margin."""
+    import numpy as np
+
+    from repro.placement import Die
+
+    values = [-np.inf, -1e300, -7.0, -0.0, 0.0, 1e-300, 0.25, 0.5, 0.75,
+              3.0, 9.5, 10.0, 10.5, 19.999999999999996, 20.0, 1e300,
+              np.inf]
+    for die in (Die(width=20.0, height=10.0), Die(width=0.6, height=0.2)):
+        for x in values:
+            for y in values[::3]:
+                got = die.clamp(x, y, margin)
+                want = (float(np.clip(x, margin, die.width - margin)),
+                        float(np.clip(y, margin, die.height - margin)))
+                assert [np.float64(v).tobytes() for v in got] == [
+                    np.float64(v).tobytes() for v in want], (x, y)
+                assert all(type(v) is float for v in got)

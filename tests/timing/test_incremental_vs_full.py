@@ -3,9 +3,12 @@
 Property-style lockdown of the optimizer's central invariant: after *each*
 edit in a seeded sequence of parameter-only moves (gate resizes and cell
 moves — the edits :class:`IncrementalSTA` claims to handle without a
-rebuild), every endpoint arrival and slack must match a from-scratch
-:func:`run_sta` to 1e-6.  Runs over three design presets so level
-structure, fanout profile and library usage all vary.
+rebuild), the incremental result must equal a from-scratch
+:func:`run_sta` bit for bit: arrival, slew, required, load, best_pred,
+the endpoint dicts and both edge-delay maps.  Both sides run the same
+propagation kernel, so any drift here is a bookkeeping bug.  Runs over
+three design presets so level structure, fanout profile and library
+usage all vary.
 """
 
 from __future__ import annotations
@@ -20,7 +23,6 @@ from repro.timing.incremental import IncrementalSTA
 
 PRESETS = [("xgate", 0.25), ("steelcore", 0.25), ("chacha", 0.2)]
 N_MOVES = 8
-TOL = 1e-6
 
 
 def _make_design(name: str, scale: float):
@@ -37,16 +39,15 @@ def _full_sta(nl, pl, period):
 
 
 def _assert_matches_full(inc_result, full_result, context: str) -> None:
-    assert set(inc_result.endpoint_arrival) == set(
-        full_result.endpoint_arrival), context
-    for pid, arr in full_result.endpoint_arrival.items():
-        assert inc_result.endpoint_arrival[pid] == pytest.approx(
-            arr, abs=TOL), f"{context}: arrival mismatch at endpoint {pid}"
-    for pid, slk in full_result.endpoint_slack.items():
-        assert inc_result.endpoint_slack[pid] == pytest.approx(
-            slk, abs=TOL), f"{context}: slack mismatch at endpoint {pid}"
-    np.testing.assert_allclose(inc_result.arrival, full_result.arrival,
-                               atol=TOL, err_msg=context)
+    for name in ("arrival", "slew", "required", "load", "best_pred",
+                 "wire_delay", "cell_delay"):
+        got, want = getattr(inc_result, name), getattr(full_result, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want), (
+            f"{context}: {name} differs")
+    for name in ("endpoint_arrival", "endpoint_slack", "net_edge_delay",
+                 "cell_edge_delay"):
+        assert getattr(inc_result, name) == getattr(full_result, name), (
+            f"{context}: {name} differs")
 
 
 def _apply_random_move(inc: IncrementalSTA, nl, pl, rng) -> str:
